@@ -58,7 +58,7 @@ def main() -> None:
         physical = compiled.physical
         print(f"Selection subscript {index}: {select.predicate.unparse()}")
     # Compile one subscript's program for display.
-    from repro.compiler.codegen import CodeGenerator
+    from repro.compiler.physical import CodeGenerator
     from repro.engine.iterator import RuntimeState
     from repro.engine.tuples import AttributeManager
 

@@ -36,6 +36,7 @@ from repro import (
     parse_document,
     store_document,
 )
+from repro.compiler.pipeline import OPTIMIZER_MODES, SWITCH_MODES
 from repro.dom.node import Node, NodeKind
 from repro.dom.serializer import serialize
 from repro.errors import ReproError
@@ -102,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="enable the property-driven plan optimizer",
     )
     parser.add_argument(
-        "--optimizer", choices=("heuristic", "cost"), default="heuristic",
+        "--optimizer", choices=OPTIMIZER_MODES, default="heuristic",
         help="plan-choice mode: the paper's selectivity gates "
              "('heuristic') or the synopsis-fed cost model ('cost'); "
              "answers are identical (session engines only)",
@@ -136,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "produced N tuples (algebraic engines only)",
     )
     parser.add_argument(
-        "--codegen", choices=("auto", "off", "force"), default="off",
+        "--codegen", choices=SWITCH_MODES, default="off",
         help="compile plans to generated Python: 'auto' falls back to "
              "the interpreter on unsupported operators, 'force' fails "
              "instead (session engines only; default: off)",

@@ -197,7 +197,7 @@ class _Emitter:
     def register(self, plan: ops.Operator) -> None:
         """Replay the iterator backend's register aliasing, in its order.
 
-        Mirrors :class:`~repro.compiler.codegen.CodeGenerator`: union
+        Mirrors :class:`~repro.compiler.physical.CodeGenerator`: union
         result slots are allocated before their branches, projection
         renames unify, and pure-aliasing maps alias — so owned-slot and
         key-slot computations during emission see the final groups.

@@ -62,6 +62,7 @@ from repro.collection.pool import (
 )
 from repro.collection.pruning import shard_admits
 from repro.compiler.improved import TranslationOptions
+from repro.compiler.pipeline import OPTIMIZER_MODES, SWITCH_MODES
 from repro.errors import (
     CollectionError,
     QueryBudgetError,
@@ -239,14 +240,14 @@ class Collection:
         buffer_pages: int = DEFAULT_WORKER_BUFFER_PAGES,
         pruning: bool = True,
     ):
-        if index_mode not in ("off", "auto", "force"):
+        if index_mode not in SWITCH_MODES:
             raise ValueError(
-                f"index_mode must be 'off', 'auto' or 'force', "
+                f"index_mode must be one of {SWITCH_MODES}, "
                 f"got {index_mode!r}"
             )
-        if optimizer not in ("heuristic", "cost"):
+        if optimizer not in OPTIMIZER_MODES:
             raise ValueError(
-                f"optimizer must be 'heuristic' or 'cost', "
+                f"optimizer must be one of {OPTIMIZER_MODES}, "
                 f"got {optimizer!r}"
             )
         self.catalog: CollectionCatalog = load_catalog(directory)
@@ -360,6 +361,10 @@ class Collection:
         """
         if self._closed:
             raise CollectionError("collection is closed")
+        if cancel is not None and cancel.cancelled:
+            # Admission control, as on a single document: a token that
+            # tripped before submission aborts before any shard runs.
+            raise QueryCancelledError(cancel.reason)
         shipped = self._ship(query, options or self.options, namespaces)
         deadline = (
             time.monotonic() + timeout if timeout is not None else None

@@ -7,7 +7,7 @@
 (5) translation into the algebra — :mod:`repro.compiler.translate`
     with the improved-translation policies in
     :mod:`repro.compiler.improved`,
-(6) code generation to an NQE plan — :mod:`repro.compiler.codegen`.
+(6) code generation to an NQE plan — :mod:`repro.compiler.physical`.
 
 :class:`repro.compiler.pipeline.XPathCompiler` orchestrates the phases.
 """

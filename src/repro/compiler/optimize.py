@@ -73,6 +73,7 @@ from repro.compiler.cost import (
     PlanEstimates,
     PlanEstimator,
 )
+from repro.compiler.pipeline import OPTIMIZER_MODES
 from repro.xpath.axes import Axis, NodeTestKind
 
 #: Decline a descendant-index rewrite when the name covers more than
@@ -81,9 +82,6 @@ DESCENDANT_SELECTIVITY_LIMIT = 0.5
 #: A child-index rewrite probes the *subtree* and filters by parent, so
 #: it only pays off for rare names.
 CHILD_SELECTIVITY_LIMIT = 0.1
-
-#: Valid ``optimizer=`` arguments.
-OPTIMIZER_MODES = ("heuristic", "cost")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from repro.algebra import operators as ops
 from repro.algebra import scalar as S
 from repro.algebra.printer import plan_to_string
 from repro.algebra.properties import free_variables
-from repro.compiler.codegen import CodeGenerator
+from repro.compiler.physical import CodeGenerator
 from repro.compiler.improved import TranslationOptions
 from repro.compiler.normalize import normalize
 from repro.compiler.rewrite import fold_constants
@@ -49,6 +49,12 @@ _ALLOWED_FREE = frozenset(
 
 #: Result attribute of top-level scalar plans.
 _SCALAR_RESULT_ATTR = "result"
+
+#: Valid values of the ``index`` and ``codegen`` switches.
+SWITCH_MODES = ("auto", "off", "force")
+
+#: Valid values of the ``optimizer`` switch.
+OPTIMIZER_MODES = ("heuristic", "cost")
 
 
 class CompiledQuery:
@@ -322,10 +328,9 @@ class CompiledQuery:
         """Resolve a ``codegen`` mode to a generated plan (or None)."""
         if codegen == "off":
             return None
-        if codegen not in ("auto", "force"):
+        if codegen not in SWITCH_MODES:
             raise ValueError(
-                f"codegen must be 'auto', 'off' or 'force', "
-                f"got {codegen!r}"
+                f"codegen must be one of {SWITCH_MODES}, got {codegen!r}"
             )
         generated = self.ensure_generated()
         if generated is None and codegen == "force":

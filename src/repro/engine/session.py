@@ -21,6 +21,10 @@ workload the way production XPath engines do (whole-query reuse, see
   for the same ``(query, target)`` are collapsed into one execution
   whose result every caller shares (the singleflight pattern; safe
   because evaluation is a deterministic pure read),
+* one **request pipeline** — every evaluation entry point runs the
+  same four steps: *resolve* the call's :class:`EvalOptions` over the
+  engine's defaults, *look up* the compiled plan, *execute* it, and
+  *account* the outcome in the governance counters,
 * an **observability layer** — per-phase compile timings from the
   pipeline, per-operator ``next()``-call/tuple counters summed over all
   thread instances of each plan, the engine-level runtime counters, and
@@ -40,7 +44,8 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace as _dc_replace
 from typing import (
     Dict,
     Hashable,
@@ -53,14 +58,18 @@ from typing import (
 )
 
 from repro.compiler.improved import TranslationOptions
-from repro.compiler.pipeline import CompiledQuery, XPathCompiler
+from repro.compiler.pipeline import (
+    OPTIMIZER_MODES,
+    SWITCH_MODES,
+    CompiledQuery,
+    XPathCompiler,
+)
 from repro.dom.document import Document
 from repro.dom.node import Node
 from repro.engine.cache import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_SHARDS,
     CacheStats,
-    ShardStats,
     StripedPlanCache,
 )
 from repro.engine.context import ExecutionContext
@@ -69,6 +78,7 @@ from repro.engine.plan import OperatorStats
 from repro.errors import (
     QueryBudgetError,
     QueryCancelledError,
+    QueryGovernanceError,
     QueryTimeoutError,
 )
 from repro.xpath.datamodel import XPathValue
@@ -97,6 +107,14 @@ GOVERNANCE_COUNTERS = (
     "budget_aborts",
 )
 
+#: The account step's mapping from a governance abort to its outcome
+#: counter; every other ending counts as ``queries_completed``.
+_ABORT_COUNTERS = (
+    (QueryTimeoutError, "queries_timed_out"),
+    (QueryCancelledError, "queries_cancelled"),
+    (QueryBudgetError, "budget_aborts"),
+)
+
 
 def _env_default_timeout() -> Optional[float]:
     raw = os.environ.get(TIMEOUT_ENV_VAR)
@@ -112,19 +130,6 @@ def _env_default_timeout() -> Optional[float]:
 EvalTarget = Union[Document, Node, object]
 
 _NamespaceSig = Tuple[Tuple[str, str], ...]
-_PlanKey = Tuple[str, TranslationOptions, _NamespaceSig, Optional[str]]
-
-#: Valid values of the engine's ``index`` option.
-INDEX_MODES = ("auto", "off", "force")
-
-#: Valid values of the engine's ``codegen`` option.
-CODEGEN_MODES = ("auto", "off", "force")
-
-#: Valid values of the engine's ``optimizer`` option.
-OPTIMIZER_MODES = ("heuristic", "cost")
-
-#: Backwards-compatible name: the plan cache is the striped one now.
-PlanCache = StripedPlanCache
 
 
 def resolve_context_node(target: EvalTarget) -> Node:
@@ -153,6 +158,101 @@ def _namespace_signature(
     if not namespaces:
         return ()
     return tuple(sorted(namespaces.items()))
+
+
+# ----------------------------------------------------------------------
+# Per-call options
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EvalOptions:
+    """Per-call evaluation options, as one frozen value object.
+
+    The one way to configure a single evaluation — accepted uniformly
+    by :func:`repro.evaluate` / :func:`repro.evaluate_concurrent`, every
+    :class:`XPathEngine` evaluation method, the CLI, and
+    :class:`~repro.testing.oracle.DifferentialRunner` (as its
+    ``governance``).  Being frozen and order-normalized it is usable
+    directly as a cache or coalescing key: two instances built from the
+    same settings (namespace mappings in any iteration order) are equal
+    and hash alike.
+
+    ``None`` for any field means "use the callee's default": an engine
+    evaluates with its configured ``index``/``codegen``/``optimizer``
+    mode unless the call overrides it.  ``optimizer`` selects plan
+    choice only (``"heuristic"`` gates or the ``"cost"`` model, see
+    ``docs/optimizer.md``) — answers are identical either way.
+    ``engine`` names a :data:`~repro.api.ENGINE_REGISTRY` strategy and
+    is consumed by one-shot :func:`repro.evaluate` (an
+    :class:`XPathEngine` *is* the strategy, so its methods ignore the
+    field).  ``variables`` may hold unhashable node-sets, so it is
+    excluded from the hash (never from equality).
+    """
+
+    variables: Optional[Mapping[str, XPathValue]] = field(
+        default=None, hash=False
+    )
+    namespaces: Optional[Mapping[str, str]] = None
+    engine: Optional[str] = None
+    timeout: Optional[float] = None
+    max_tuples: Optional[int] = None
+    max_bytes: Optional[int] = None
+    cancel: Optional[CancelToken] = field(default=None, hash=False)
+    index: Optional[str] = None
+    codegen: Optional[str] = None
+    optimizer: Optional[str] = None
+
+    def __post_init__(self):
+        namespaces = self.namespaces
+        if namespaces is not None and not isinstance(namespaces, tuple):
+            object.__setattr__(
+                self, "namespaces", tuple(sorted(namespaces.items()))
+            )
+        for name, modes in (("index", SWITCH_MODES),
+                            ("codegen", SWITCH_MODES),
+                            ("optimizer", OPTIMIZER_MODES)):
+            value = getattr(self, name)
+            if value is not None and value not in modes:
+                raise ValueError(
+                    f"{name} must be one of {modes} or None, "
+                    f"got {value!r}"
+                )
+
+    def namespace_map(self) -> Optional[Dict[str, str]]:
+        """The namespace bindings as a plain dict (or ``None``)."""
+        if self.namespaces is None:
+            return None
+        return dict(self.namespaces)
+
+    def governed(self) -> bool:
+        """Whether any resource limit or cancel token is set."""
+        return (
+            self.timeout is not None
+            or self.max_tuples is not None
+            or self.max_bytes is not None
+            or self.cancel is not None
+        )
+
+    def replace(self, **changes) -> "EvalOptions":
+        """A copy with the given fields replaced."""
+        return _dc_replace(self, **changes)
+
+
+_NO_OPTIONS = EvalOptions()
+
+
+def _as_eval_options(value: Optional[EvalOptions]) -> EvalOptions:
+    """``value`` checked to be an :class:`EvalOptions` (``None`` means
+    the neutral ``EvalOptions()``)."""
+    if value is None:
+        return _NO_OPTIONS
+    if not isinstance(value, EvalOptions):
+        raise TypeError(
+            f"eval_options must be an EvalOptions, got "
+            f"{type(value).__name__}"
+        )
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +396,77 @@ class Singleflight:
 
 
 # ----------------------------------------------------------------------
-# The engine session
+# The request pipeline: resolve → plan lookup → execute → account
 # ----------------------------------------------------------------------
+
+
+class _Call:
+    """One evaluation call after the *resolve* step.
+
+    The call's :class:`EvalOptions` folded over the engine's
+    configuration: translation options, codegen backend, and the
+    governance limits with the engine's ``default_*`` limits filling
+    every unset one (the only place those defaults apply).
+    """
+
+    __slots__ = (
+        "options", "variables", "namespaces", "codegen",
+        "timeout", "max_tuples", "max_bytes", "cancel",
+    )
+
+    def __init__(self, engine: "XPathEngine", eval_options: EvalOptions,
+                 options: Optional[TranslationOptions]):
+        self.options = options or engine.options
+        self.variables = eval_options.variables
+        self.namespaces = eval_options.namespace_map()
+        self.codegen = eval_options.codegen or engine.codegen_mode
+        self.timeout = (
+            eval_options.timeout if eval_options.timeout is not None
+            else engine.default_timeout
+        )
+        self.max_tuples = (
+            eval_options.max_tuples if eval_options.max_tuples is not None
+            else engine.default_max_tuples
+        )
+        self.max_bytes = (
+            eval_options.max_bytes if eval_options.max_bytes is not None
+            else engine.default_max_bytes
+        )
+        self.cancel = eval_options.cancel
+
+    def limits(self) -> dict:
+        """The resolved limits as keyword arguments (collection scatter)."""
+        return {
+            "timeout": self.timeout, "max_tuples": self.max_tuples,
+            "max_bytes": self.max_bytes, "cancel": self.cancel,
+        }
+
+    def governor(self) -> Optional[ResourceGovernor]:
+        """A governor for one execution, its deadline anchored *now*
+        (so one built at submission also bounds queue wait); ``None``
+        on the ungoverned fast path."""
+        if (self.timeout is None and self.max_tuples is None
+                and self.max_bytes is None and self.cancel is None):
+            return None
+        return ResourceGovernor(**self.limits())
+
+    def coalesce_key(self, identity: tuple) -> Hashable:
+        """The singleflight key of this call against ``identity`` (query
+        and target).
+
+        The governance limits are part of it: calls with different
+        deadlines or budgets must never share a flight (a tightly
+        limited leader would fail loosely limited followers), and a
+        distinct cancel token keys a distinct flight for the same
+        reason.  So is the codegen backend — a forced-compiled call
+        must not share a flight with an interpreted one.
+        """
+        return (
+            identity, self.options, _namespace_signature(self.namespaces),
+            self.timeout, self.max_tuples, self.max_bytes,
+            id(self.cancel) if self.cancel is not None else None,
+            self.codegen,
+        )
 
 
 class XPathEngine:
@@ -311,6 +480,13 @@ class XPathEngine:
         engine.evaluate("count(/a/b)", doc)      # cache hit
         engine.evaluate_concurrent(["/a/b", "//b"], doc, max_workers=2)
         print(engine.stats().to_json(indent=2))
+
+    Every evaluation entry point takes its per-call configuration as one
+    :class:`EvalOptions` and runs the same four steps: *resolve* the
+    options over the engine's defaults, *look up* the compiled plan,
+    *execute* it (to a value, a count, pages or a collection scatter)
+    and *account* the outcome.  The public methods only choose the
+    execute step.
 
     Thread safety: one engine may be shared freely across threads.  The
     plan cache is lock-striped, stat updates hold a narrow engine lock,
@@ -328,7 +504,7 @@ class XPathEngine:
         *,
         coalesce: bool = True,
         max_workers: int = DEFAULT_MAX_WORKERS,
-        index: Union[str, bool] = "auto",
+        index: str = "auto",
         codegen: str = "off",
         optimizer: str = "heuristic",
         default_timeout: Optional[float] = None,
@@ -336,24 +512,15 @@ class XPathEngine:
         default_max_bytes: Optional[int] = None,
     ):
         self.options = options or TranslationOptions()
-        if index is True:
-            index = "auto"
-        elif index is False:
-            index = "off"
-        if index not in INDEX_MODES:
-            raise ValueError(
-                f"index must be one of {INDEX_MODES} (or a bool), "
-                f"got {index!r}"
-            )
-        if codegen not in CODEGEN_MODES:
-            raise ValueError(
-                f"codegen must be one of {CODEGEN_MODES}, got {codegen!r}"
-            )
-        if optimizer not in OPTIMIZER_MODES:
-            raise ValueError(
-                f"optimizer must be one of {OPTIMIZER_MODES}, "
-                f"got {optimizer!r}"
-            )
+        for name, value, modes in (
+            ("index", index, SWITCH_MODES),
+            ("codegen", codegen, SWITCH_MODES),
+            ("optimizer", optimizer, OPTIMIZER_MODES),
+        ):
+            if value not in modes:
+                raise ValueError(
+                    f"{name} must be one of {modes}, got {value!r}"
+                )
         #: "auto" — route name steps onto the target's structural
         #: indexes when the path synopsis says they prune; "force" —
         #: route every eligible step regardless of selectivity; "off" —
@@ -491,96 +658,165 @@ class XPathEngine:
             query, options=options, namespaces=namespaces, target=target
         ).explain()
 
-    # -- evaluation ----------------------------------------------------
+    # -- the pipeline steps --------------------------------------------
 
-    def make_governor(
-        self,
-        *,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> Optional[ResourceGovernor]:
-        """A governor combining per-call limits with engine defaults.
-
-        ``None`` when neither the call nor the engine imposes any limit
-        (the ungoverned fast path).  The deadline is anchored *now*, so
-        governors built at submission time also bound queue wait.
-        """
-        timeout = timeout if timeout is not None else self.default_timeout
-        max_tuples = (
-            max_tuples if max_tuples is not None else self.default_max_tuples
-        )
-        max_bytes = (
-            max_bytes if max_bytes is not None else self.default_max_bytes
-        )
-        if (timeout is None and max_tuples is None and max_bytes is None
-                and cancel is None):
-            return None
-        return ResourceGovernor(
-            timeout=timeout, max_tuples=max_tuples, max_bytes=max_bytes,
-            cancel=cancel,
-        )
-
-    def _resolve_call(self, func_name: str, eval_options, legacy):
-        """Fold an :class:`~repro.api.EvalOptions` (or legacy kwargs)
-        into ``(resolved, codegen_mode)`` for one evaluation call.
+    def _resolve(self, eval_options: Optional[EvalOptions],
+                 options: Optional[TranslationOptions]) -> _Call:
+        """The *resolve* step: validate ``eval_options`` against this
+        engine and fold it over the engine's defaults.
 
         The ``engine`` field is ignored (this engine *is* the
-        strategy); a per-call ``index`` must agree with the engine's
-        configured mode — plans are cached per engine, so one call
-        cannot re-route them.
+        strategy); a per-call ``index`` or ``optimizer`` must agree
+        with the engine's configured mode — plans are cached per
+        engine, so one call cannot re-route them.
         """
-        from repro.api import _resolve_eval_options
+        eval_options = _as_eval_options(eval_options)
+        for name, mode in (("index", self.index_mode),
+                           ("optimizer", self.optimizer_mode)):
+            value = getattr(eval_options, name)
+            if value is not None and value != mode:
+                raise ValueError(
+                    f"per-call {name}={value!r} conflicts with this "
+                    f"engine's {name} mode {mode!r}; configure "
+                    f"XPathEngine({name}=...) instead"
+                )
+        return _Call(self, eval_options, options)
 
-        resolved = _resolve_eval_options(
-            func_name, eval_options, legacy, stacklevel=4
+    def _plan(self, query: str, call: _Call,
+              target: EvalTarget) -> CompiledQuery:
+        """The *plan lookup* step: :meth:`compile` under the call's
+        options and namespaces."""
+        return self.compile(
+            query, options=call.options, namespaces=call.namespaces,
+            target=target,
         )
-        if (resolved.index is not None
-                and resolved.index != self.index_mode):
-            raise ValueError(
-                f"per-call index={resolved.index!r} conflicts with this "
-                f"engine's index mode {self.index_mode!r}; configure "
-                "XPathEngine(index=...) instead"
+
+    @contextmanager
+    def _account(self, *counters: str, plan=None, node=None,
+                 codegen: str = "off", collection=None):
+        """The *account* step around one submitted query.
+
+        Entering counts ``queries_submitted`` (and any extra
+        ``counters``).  Leaving settles exactly one outcome: the
+        governance abort's counter from :data:`_ABORT_COUNTERS`, else
+        ``queries_completed`` — a result, an ordinary evaluation error
+        and a stream closed early all *completed* their governed run —
+        so the outcomes always sum back to ``queries_submitted``.  It
+        also records the execution: count, wall time, the codegen
+        backend used, and the last plan and buffer (or collection)
+        snapshot.
+        """
+        self._count("queries_submitted", *counters)
+        outcome = "queries_completed"
+        start = time.perf_counter()
+        try:
+            yield
+        except QueryGovernanceError as error:
+            for error_type, counter in _ABORT_COUNTERS:
+                if isinstance(error, error_type):
+                    outcome = counter
+            raise
+        finally:
+            elapsed = time.perf_counter() - start
+            buffer = _buffer_snapshot(node) if node is not None else None
+            collection_stats = (
+                collection.stats() if collection is not None else None
             )
-        if (resolved.optimizer is not None
-                and resolved.optimizer != self.optimizer_mode):
-            raise ValueError(
-                f"per-call optimizer={resolved.optimizer!r} conflicts "
-                f"with this engine's optimizer mode "
-                f"{self.optimizer_mode!r}; configure "
-                "XPathEngine(optimizer=...) instead"
+            with self._lock:
+                counts = self._engine_counters
+                counts[outcome] += 1
+                self._execution_count += 1
+                self._execution_seconds += elapsed
+                if plan is not None:
+                    self._last_plan = plan
+                    self._last_buffer = buffer
+                    if codegen != "off":
+                        if plan.codegen_state == "compiled":
+                            counts["codegen_compiled"] += 1
+                        elif plan.codegen_state == "unsupported":
+                            counts["codegen_fallbacks"] += 1
+                if collection is not None:
+                    self._last_collection_stats = collection_stats
+
+    def _coalesced(self, call: _Call, identity: tuple, run):
+        """``run()``, or — when coalescing applies — the shared result
+        of an identical call already in flight.
+
+        Calls with variables are never coalesced (variable values may be
+        unhashable node-sets).  ``identity`` names the query and the
+        target; node targets enter by ``id`` (the leader keeps the node
+        alive for the duration of the flight, so the id cannot be
+        recycled mid-call), collections by fingerprint.
+        """
+        if not self.coalesce or call.variables:
+            return run()
+        result, led = self._singleflight.do(call.coalesce_key(identity), run)
+        if not led:
+            self._count("coalesced_requests")
+            if isinstance(result, list):
+                return list(result)
+        return result
+
+    def _execute(self, plan: CompiledQuery, node: Node, call: _Call,
+                 ordered: bool, governor: Optional[ResourceGovernor]):
+        """One accounted plan execution to a value."""
+        with self._account(plan=plan, node=node, codegen=call.codegen):
+            result = plan.evaluate(
+                node, call.variables, call.namespaces, ordered=ordered,
+                governor=governor, codegen=call.codegen,
             )
-        return resolved, resolved.codegen or self.codegen_mode
+        self._note_estimation(plan, result)
+        return result
+
+    def _pages(self, account, produce, page_size: int):
+        """The execute step of both stream entry points: run
+        ``produce() -> (kind, items)`` under ``account`` and hand the
+        items out as ``(kind, page)`` pairs of at most ``page_size``
+        items.  An empty result still yields one empty page, so the
+        consumer always learns the result kind."""
+        with account:
+            kind, items = produce()
+            page: List[XPathValue] = []
+            yielded = False
+            for item in items:
+                page.append(item)
+                if len(page) >= page_size:
+                    self._count("stream_pages")
+                    yield kind, page
+                    page = []
+                    yielded = True
+            if page or not yielded:
+                self._count("stream_pages")
+                yield kind, page
+
+    def _count(self, *counters: str) -> None:
+        with self._lock:
+            for name in counters:
+                self._engine_counters[name] += 1
+
+    # -- evaluation entry points ---------------------------------------
 
     def evaluate(
         self,
         query: str,
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
         ordered: bool = False,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> XPathValue:
         """Evaluate ``query`` against ``target`` through the plan cache.
 
         Per-call configuration (variables, namespaces, governance
         limits, a ``codegen`` override) travels in one
-        :class:`~repro.api.EvalOptions`; the old individual keyword
-        arguments keep working with a :class:`DeprecationWarning`.
-        ``options`` (:class:`TranslationOptions`) and ``ordered`` stay
-        separate keywords — compiler parameterization and result shape,
-        not per-call evaluation state.
+        :class:`EvalOptions`.  ``options`` (:class:`TranslationOptions`)
+        and ``ordered`` stay separate keywords — compiler
+        parameterization and result shape, not per-call evaluation
+        state.
 
-        ``timeout`` (seconds), ``max_tuples``, ``max_bytes`` and
-        ``cancel`` bound the evaluation; unset limits fall back to the
-        engine's ``default_*`` settings.  A tripped limit raises
+        The ``timeout`` (seconds), ``max_tuples``, ``max_bytes`` and
+        ``cancel`` fields bound the evaluation; unset limits fall back
+        to the engine's ``default_*`` settings.  A tripped limit raises
         :class:`~repro.errors.QueryTimeoutError` /
         :class:`~repro.errors.QueryBudgetError` /
         :class:`~repro.errors.QueryCancelledError` — never a partial
@@ -596,276 +832,82 @@ class XPathEngine:
         share the leader's deadline, including a governance error if it
         trips.
         """
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.evaluate",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_variables = resolved.variables
-        eval_namespaces = resolved.namespace_map()
-        plan = self.compile(
-            query, options=options, namespaces=eval_namespaces,
-            target=target,
-        )
+        call = self._resolve(eval_options, options)
+        plan = self._plan(query, call, target)
         node = resolve_context_node(target)
-        key = self._coalesce_key(
-            query, node, eval_variables, eval_namespaces, options, ordered,
-            resolved.timeout, resolved.max_tuples, resolved.max_bytes,
-            resolved.cancel, codegen,
+        return self._coalesced(
+            call, (query, id(node), ordered),
+            lambda: self._execute(plan, node, call, ordered, call.governor()),
         )
-        if key is None:
-            return self._execute(
-                plan, node, eval_variables, eval_namespaces, ordered,
-                governor=self.make_governor(
-                    timeout=resolved.timeout,
-                    max_tuples=resolved.max_tuples,
-                    max_bytes=resolved.max_bytes,
-                    cancel=resolved.cancel,
-                ),
-                codegen=codegen,
-            )
 
-        result, led = self._singleflight.do(
-            key,
-            lambda: self._execute(
-                plan, node, eval_variables, eval_namespaces, ordered,
-                governor=self.make_governor(
-                    timeout=resolved.timeout,
-                    max_tuples=resolved.max_tuples,
-                    max_bytes=resolved.max_bytes,
-                    cancel=resolved.cancel,
-                ),
-                codegen=codegen,
-            ),
-        )
-        if not led:
-            with self._lock:
-                self._engine_counters["coalesced_requests"] += 1
-            if isinstance(result, list):
-                return list(result)
-        return result
-
-    def evaluate_stream(
+    def count(
         self,
         query: str,
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
-        page_size: int = DEFAULT_PAGE_SIZE,
         options: Optional[TranslationOptions] = None,
-        ordered: bool = False,
-    ):
-        """Evaluate ``query`` lazily, yielding result *pages*.
-
-        The streaming entry point behind the network server
-        (:mod:`repro.server`): result items are pulled from the
-        iterator engine on demand and handed out in lists of at most
-        ``page_size``, so a large node-set answer never lives in memory
-        whole — only the page being built does.  Scalar results arrive
-        as a single one-item page.
-
-        Semantics relative to :meth:`evaluate`:
-
-        * the plan cache and compile path are identical (a hot query
-          streams from a cached plan),
-        * governance applies identically — the governor is built when
-          the stream is *created*, so the deadline covers the whole
-          consumption, and a tripped limit raises the typed governance
-          error out of the page iterator mid-stream,
-        * streams are **not** coalesced: each consumer paces its own
-          pull, so two identical streams cannot share one execution the
-          way two :meth:`evaluate` calls do,
-        * the returned generator is thread-confined (it drives the
-          calling thread's plan instance) and must be closed before the
-          same thread evaluates the same query again.
-
-        Governance outcome accounting matches :meth:`evaluate`: one
-        ``queries_submitted`` per stream, resolved into exactly one of
-        completed / timed-out / cancelled / budget-abort when the
-        stream finishes (an abandoned, half-consumed stream counts as
-        completed on close).
-        """
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
-        resolved, _codegen = self._resolve_call(
-            "XPathEngine.evaluate_stream", eval_options, {}
-        )
-        eval_namespaces = resolved.namespace_map()
-        plan = self.compile(
-            query, options=options, namespaces=eval_namespaces,
-            target=target,
-        )
+    ) -> int:
+        """Count result tuples without materializing them."""
+        call = self._resolve(eval_options, options)
+        plan = self._plan(query, call, target)
         node = resolve_context_node(target)
-        governor = self.make_governor(
-            timeout=resolved.timeout,
-            max_tuples=resolved.max_tuples,
-            max_bytes=resolved.max_bytes,
-            cancel=resolved.cancel,
-        )
-        with self._lock:
-            self._engine_counters["queries_submitted"] += 1
-            self._engine_counters["stream_queries"] += 1
-        return self._stream_pages(
-            plan, node, resolved, eval_namespaces, page_size, ordered,
-            governor,
-        )
-
-    def _stream_pages(
-        self, plan, node, resolved, namespaces, page_size, ordered,
-        governor,
-    ):
-        """Generator body of :meth:`evaluate_stream` (accounting here:
-        ``queries_submitted`` was already counted by the caller)."""
-        settled = False
-
-        def settle(counter: str) -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            with self._lock:
-                self._engine_counters[counter] += 1
-
-        start = time.perf_counter()
-        try:
-            items = plan.evaluate_stream(
-                node, resolved.variables, namespaces,
-                ordered=ordered, governor=governor,
-            )
-            page: List[XPathValue] = []
-            yielded = False
-            for item in items:
-                page.append(item)
-                if len(page) >= page_size:
-                    with self._lock:
-                        self._engine_counters["stream_pages"] += 1
-                    yield page
-                    page = []
-                    yielded = True
-            if page or not yielded:
-                # The last partial page — or, for an empty result, one
-                # empty page so every stream yields at least once.
-                with self._lock:
-                    self._engine_counters["stream_pages"] += 1
-                yield page
-        except QueryTimeoutError:
-            settle("queries_timed_out")
-            raise
-        except QueryCancelledError:
-            settle("queries_cancelled")
-            raise
-        except QueryBudgetError:
-            settle("budget_aborts")
-            raise
-        finally:
-            settle("queries_completed")
-            self._record_execution(
-                time.perf_counter() - start, plan, node
+        with self._account(plan=plan, node=node, codegen=call.codegen):
+            return plan.count(
+                node, variables=call.variables, namespaces=call.namespaces,
+                governor=call.governor(), codegen=call.codegen,
             )
 
     def evaluate_many(
         self,
         queries: Sequence[str],
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> List[XPathValue]:
         """Evaluate a batch of queries against one target, sequentially.
 
         Each distinct query is compiled (or fetched) once and a single
         :class:`ExecutionContext` is shared across the batch, so the
         per-call setup cost is paid once instead of ``len(queries)``
-        times.  Results are returned in input order.  Per-call
-        configuration travels in :class:`~repro.api.EvalOptions` (the
-        old individual keyword arguments warn).  The governance limits
-        bound the batch *as a whole* — one shared governor, so
+        times.  Results are returned in input order.  The governance
+        limits bound the batch *as a whole* — one shared governor, so
         ``timeout`` is a deadline for all of it and the budgets are
-        cumulative across the queries.
+        cumulative across the queries.  Each plan that runs counts as
+        one submitted query; an abort ends the batch, and the plans
+        after it are never submitted.
         """
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.evaluate_many",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_namespaces = resolved.namespace_map()
+        call = self._resolve(eval_options, options)
         node = resolve_context_node(target)
-        plans = [
-            self.compile(
-                query, options=options, namespaces=eval_namespaces,
-                target=target,
-            )
-            for query in queries
-        ]
+        plans = [self._plan(query, call, target) for query in queries]
         context = ExecutionContext(
             context_node=node,
-            variables=dict(resolved.variables or {}),
-            namespaces=dict(eval_namespaces or {}),
-            governor=self.make_governor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
-            ),
+            variables=dict(call.variables or {}),
+            namespaces=dict(call.namespaces or {}),
+            governor=call.governor(),
         )
         results: List[XPathValue] = []
-        start = time.perf_counter()
         for plan in plans:
-            generated = (
-                plan._select_generated(codegen)
-                if codegen != "off"
-                else None
-            )
-            if generated is not None:
-                results.append(generated.execute(context))
-            else:
-                results.append(plan.thread_physical.execute(context))
-            self._note_codegen(plan, codegen)
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._execution_count += len(plans)
-            self._execution_seconds += elapsed
-            if plans:
-                self._last_plan = plans[-1]
-            self._last_buffer = _buffer_snapshot(node)
+            with self._account(plan=plan, node=node, codegen=call.codegen):
+                generated = plan._select_generated(call.codegen)
+                physical = (
+                    generated if generated is not None
+                    else plan.thread_physical
+                )
+                results.append(physical.execute(context))
         return results
 
     def evaluate_concurrent(
         self,
         queries: Sequence[str],
         target: EvalTarget,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         max_workers: Optional[int] = None,
         options: Optional[TranslationOptions] = None,
         ordered: bool = False,
         return_exceptions: bool = False,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> List[XPathValue]:
         """Evaluate a batch of queries through a thread pool.
 
@@ -889,58 +931,28 @@ class XPathEngine:
         and neither the plan cache nor other queries in the batch are
         affected (budgets are per query, not shared).
         """
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.evaluate_concurrent",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_variables = resolved.variables
-        eval_namespaces = resolved.namespace_map()
+        call = self._resolve(eval_options, options)
         node = resolve_context_node(target)
         if not queries:
             return []
         distinct = list(dict.fromkeys(queries))
-        plans = {
-            query: self.compile(
-                query, options=options, namespaces=eval_namespaces,
-                target=target,
-            )
-            for query in distinct
-        }
+        plans = {query: self._plan(query, call, target) for query in distinct}
         workers = max(
             1, min(max_workers or self.max_workers, len(distinct))
         )
-
         # Submission-time admission control: one governor per distinct
         # query, anchored *now* — queue wait counts against the deadline.
-        governors = {
-            query: self.make_governor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
-            )
-            for query in distinct
-        }
-
-        def run_one(query: str) -> XPathValue:
-            return self._execute(
-                plans[query], node, eval_variables, eval_namespaces,
-                ordered, governor=governors[query], codegen=codegen,
-            )
+        governors = {query: call.governor() for query in distinct}
 
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-xpath"
         ) as pool:
             futures = {
-                query: pool.submit(run_one, query) for query in distinct
+                query: pool.submit(
+                    self._execute, plans[query], node, call, ordered,
+                    governors[query],
+                )
+                for query in distinct
             }
             by_query = {}
             first_error: Optional[BaseException] = None
@@ -961,19 +973,71 @@ class XPathEngine:
             for result in (by_query[query] for query in queries)
         ]
 
+    def evaluate_stream(
+        self,
+        query: str,
+        target: EvalTarget,
+        eval_options: Optional[EvalOptions] = None,
+        *,
+        page_size: int = DEFAULT_PAGE_SIZE,
+        options: Optional[TranslationOptions] = None,
+        ordered: bool = False,
+    ):
+        """Evaluate ``query`` lazily, yielding ``(kind, page)`` pairs.
+
+        The streaming entry point behind the network server
+        (:mod:`repro.server`): result items are pulled from the
+        iterator engine on demand and handed out in lists of at most
+        ``page_size``, so a large node-set answer never lives in memory
+        whole — only the page being built does.  ``kind`` is
+        ``"node-set"`` or ``"scalar"``; a scalar result arrives as a
+        single one-item page, an empty node-set as one empty page.
+
+        Semantics relative to :meth:`evaluate`:
+
+        * the plan cache and compile path are identical (a hot query
+          streams from a cached plan, and a compile error raises from
+          this call, not from the first page),
+        * governance applies identically — the governor is built when
+          the stream is *created*, so the deadline covers the whole
+          consumption, and a tripped limit raises the typed governance
+          error out of the page iterator mid-stream,
+        * streams are **not** coalesced: each consumer paces its own
+          pull, so two identical streams cannot share one execution the
+          way two :meth:`evaluate` calls do,
+        * the returned generator is thread-confined (it drives the
+          calling thread's plan instance) and must be closed before the
+          same thread evaluates the same query again.
+
+        Accounting matches :meth:`evaluate`: one ``queries_submitted``
+        per stream once its first page is pulled, settled into exactly
+        one of completed / timed-out / cancelled / budget-abort when the
+        stream finishes (an abandoned, half-consumed stream counts as
+        completed on close).
+        """
+        if page_size < 1:
+            raise ValueError(f"page_size must be >= 1, got {page_size}")
+        call = self._resolve(eval_options, options)
+        plan = self._plan(query, call, target)
+        node = resolve_context_node(target)
+        governor = call.governor()
+        kind = "node-set" if plan.translation.kind == "sequence" else "scalar"
+        return self._pages(
+            self._account("stream_queries", plan=plan, node=node),
+            lambda: (kind, plan.evaluate_stream(
+                node, call.variables, call.namespaces,
+                ordered=ordered, governor=governor,
+            )),
+            page_size,
+        )
+
     def evaluate_collection(
         self,
         query: str,
         collection,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         options: Optional[TranslationOptions] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
     ):
         """Evaluate ``query`` over every shard of a ``collection``.
 
@@ -981,10 +1045,10 @@ class XPathEngine:
         scatter-gather itself (plan shipping, per-shard governors,
         global-document-order merge) is the collection's job — this
         method is the *session* layer above it: per-call configuration
-        through :class:`~repro.api.EvalOptions`, engine governance
-        defaults, outcome accounting into the engine's governance
-        counters (one collection query counts as one query), and
-        singleflight coalescing.
+        through :class:`EvalOptions`, engine governance defaults,
+        outcome accounting into the engine's governance counters (one
+        collection query counts as one query), and singleflight
+        coalescing.
 
         The coalesce key includes the **collection fingerprint**, never
         an object identity: two collections holding byte-identical
@@ -994,112 +1058,37 @@ class XPathEngine:
         index-signature keying.  Unlike node targets (which coalesce by
         ``id``), a fingerprint survives reopening the same collection.
 
-        Governance: per-call limits fall back to the engine defaults;
-        the resulting deadline governs the whole scatter (each shard's
-        worker derives its governor from it).  A tripped limit raises
-        the typed governance error; a crashed or unresponsive worker
-        raises :class:`~repro.errors.ShardFailedError`.  Returns the
-        merged :class:`repro.collection.CollectionResult`.
+        Governance: the resolved deadline governs the whole scatter
+        (each shard's worker derives its governor from it).  A tripped
+        limit raises the typed governance error; a crashed or
+        unresponsive worker raises
+        :class:`~repro.errors.ShardFailedError`.  Returns the merged
+        :class:`repro.collection.CollectionResult`.
         """
-        resolved, _codegen = self._resolve_call(
-            "XPathEngine.evaluate_collection",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_variables = resolved.variables
-        eval_namespaces = resolved.namespace_map()
-        eval_timeout = (
-            resolved.timeout if resolved.timeout is not None
-            else self.default_timeout
-        )
-        eval_max_tuples = (
-            resolved.max_tuples if resolved.max_tuples is not None
-            else self.default_max_tuples
-        )
-        eval_max_bytes = (
-            resolved.max_bytes if resolved.max_bytes is not None
-            else self.default_max_bytes
-        )
+        call = self._resolve(eval_options, options)
 
         def run():
-            with self._lock:
-                self._engine_counters["queries_submitted"] += 1
-                self._engine_counters["collection_queries"] += 1
-            start = time.perf_counter()
-            try:
-                result = collection.evaluate(
-                    query,
-                    variables=eval_variables,
-                    namespaces=eval_namespaces,
-                    options=options,
-                    timeout=eval_timeout,
-                    max_tuples=eval_max_tuples,
-                    max_bytes=eval_max_bytes,
-                    cancel=resolved.cancel,
+            with self._account("collection_queries", collection=collection):
+                return collection.evaluate(
+                    query, variables=call.variables,
+                    namespaces=call.namespaces, options=options,
+                    **call.limits(),
                 )
-            except QueryTimeoutError:
-                with self._lock:
-                    self._engine_counters["queries_timed_out"] += 1
-                raise
-            except QueryCancelledError:
-                with self._lock:
-                    self._engine_counters["queries_cancelled"] += 1
-                raise
-            except QueryBudgetError:
-                with self._lock:
-                    self._engine_counters["budget_aborts"] += 1
-                raise
-            except BaseException:
-                with self._lock:
-                    self._engine_counters["queries_completed"] += 1
-                raise
-            finally:
-                with self._lock:
-                    self._execution_count += 1
-                    self._execution_seconds += (
-                        time.perf_counter() - start
-                    )
-                    self._last_collection_stats = collection.stats()
-            with self._lock:
-                self._engine_counters["queries_completed"] += 1
-            return result
 
-        if not self.coalesce or eval_variables:
-            return run()
-        key = (
-            "collection",
-            query,
-            collection.fingerprint,
-            options or self.options,
-            _namespace_signature(eval_namespaces),
-            eval_timeout,
-            eval_max_tuples,
-            eval_max_bytes,
-            id(resolved.cancel) if resolved.cancel is not None else None,
+        return self._coalesced(
+            call, ("collection", query, collection.fingerprint), run
         )
-        result, led = self._singleflight.do(key, run)
-        if not led:
-            with self._lock:
-                self._engine_counters["coalesced_requests"] += 1
-        return result
 
     def evaluate_collection_stream(
         self,
         query: str,
         collection,
-        eval_options=None,
+        eval_options: Optional[EvalOptions] = None,
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         options: Optional[TranslationOptions] = None,
     ):
-        """Evaluate over a collection, yielding result *pages*.
+        """Evaluate over a collection, yielding ``(kind, page)`` pairs.
 
         The collection analogue of :meth:`evaluate_stream`: the serving
         front end pulls ``page_size``-bounded pages instead of the whole
@@ -1109,144 +1098,31 @@ class XPathEngine:
         bounds what is *in flight to the client*, not what the workers
         hold; governance, pruning and the global document-order merge
         are identical to :meth:`evaluate_collection`.  Streams are not
-        coalesced, and outcome accounting mirrors
-        :meth:`evaluate_stream`: one submission per stream, settled
-        into exactly one governance outcome when it finishes.
+        coalesced, and accounting mirrors :meth:`evaluate_stream`.
 
         Node-set results page over the merged records; scalar results
         page over the per-shard values in shard order.
         """
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        resolved, _codegen = self._resolve_call(
-            "XPathEngine.evaluate_collection_stream", eval_options, {}
-        )
-        eval_timeout = (
-            resolved.timeout if resolved.timeout is not None
-            else self.default_timeout
-        )
-        eval_max_tuples = (
-            resolved.max_tuples if resolved.max_tuples is not None
-            else self.default_max_tuples
-        )
-        eval_max_bytes = (
-            resolved.max_bytes if resolved.max_bytes is not None
-            else self.default_max_bytes
-        )
-        with self._lock:
-            self._engine_counters["queries_submitted"] += 1
-            self._engine_counters["collection_queries"] += 1
-            self._engine_counters["stream_queries"] += 1
-        return self._collection_stream_pages(
-            query, collection, resolved, options, page_size,
-            eval_timeout, eval_max_tuples, eval_max_bytes,
-        )
+        call = self._resolve(eval_options, options)
 
-    def _collection_stream_pages(
-        self, query, collection, resolved, options, page_size,
-        eval_timeout, eval_max_tuples, eval_max_bytes,
-    ):
-        """Generator body of :meth:`evaluate_collection_stream`
-        (``queries_submitted`` was already counted by the caller)."""
-        settled = False
-
-        def settle(counter: str) -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            with self._lock:
-                self._engine_counters[counter] += 1
-
-        start = time.perf_counter()
-        try:
+        def produce():
             result = collection.evaluate(
-                query,
-                variables=resolved.variables,
-                namespaces=resolved.namespace_map(),
-                options=options,
-                timeout=eval_timeout,
-                max_tuples=eval_max_tuples,
-                max_bytes=eval_max_bytes,
-                cancel=resolved.cancel,
+                query, variables=call.variables,
+                namespaces=call.namespaces, options=options,
+                **call.limits(),
             )
-            merged = result.merged()
-            yielded = False
-            for offset in range(0, len(merged), page_size):
-                with self._lock:
-                    self._engine_counters["stream_pages"] += 1
-                yield result.kind, merged[offset:offset + page_size]
-                yielded = True
-            if not yielded:
-                # An empty result still yields one (empty) page so the
-                # consumer always learns the result kind.
-                with self._lock:
-                    self._engine_counters["stream_pages"] += 1
-                yield result.kind, []
-        except QueryTimeoutError:
-            settle("queries_timed_out")
-            raise
-        except QueryCancelledError:
-            settle("queries_cancelled")
-            raise
-        except QueryBudgetError:
-            settle("budget_aborts")
-            raise
-        finally:
-            settle("queries_completed")
-            with self._lock:
-                self._execution_count += 1
-                self._execution_seconds += time.perf_counter() - start
-                self._last_collection_stats = collection.stats()
+            return result.kind, result.merged()
 
-    def count(
-        self,
-        query: str,
-        target: EvalTarget,
-        eval_options=None,
-        *,
-        options: Optional[TranslationOptions] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        namespaces: Optional[Mapping[str, str]] = None,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> int:
-        """Count result tuples without materializing them."""
-        resolved, codegen = self._resolve_call(
-            "XPathEngine.count",
-            eval_options,
-            {
-                "variables": variables,
-                "namespaces": namespaces,
-                "timeout": timeout,
-                "max_tuples": max_tuples,
-                "max_bytes": max_bytes,
-                "cancel": cancel,
-            },
-        )
-        eval_namespaces = resolved.namespace_map()
-        plan = self.compile(
-            query, options=options, namespaces=eval_namespaces,
-            target=target,
-        )
-        node = resolve_context_node(target)
-        start = time.perf_counter()
-        result = plan.count(
-            node, variables=resolved.variables,
-            namespaces=eval_namespaces,
-            governor=self.make_governor(
-                timeout=resolved.timeout,
-                max_tuples=resolved.max_tuples,
-                max_bytes=resolved.max_bytes,
-                cancel=resolved.cancel,
+        return self._pages(
+            self._account(
+                "collection_queries", "stream_queries",
+                collection=collection,
             ),
-            codegen=codegen,
+            produce,
+            page_size,
         )
-        self._note_codegen(plan, codegen)
-        self._record_execution(time.perf_counter() - start, plan, node)
-        return result
 
     # -- observability -------------------------------------------------
 
@@ -1296,68 +1172,6 @@ class XPathEngine:
 
     # ------------------------------------------------------------------
 
-    def _note_codegen(self, plan: CompiledQuery, codegen: str) -> None:
-        """Account one execution's backend choice (after the call, when
-        the plan's lazily-computed codegen state is settled)."""
-        if codegen == "off":
-            return
-        with self._lock:
-            if plan.codegen_state == "compiled":
-                self._engine_counters["codegen_compiled"] += 1
-            elif plan.codegen_state == "unsupported":
-                self._engine_counters["codegen_fallbacks"] += 1
-
-    def _execute(
-        self,
-        plan: CompiledQuery,
-        node: Node,
-        variables: Optional[Mapping[str, XPathValue]],
-        namespaces: Optional[Mapping[str, str]],
-        ordered: bool,
-        governor: Optional[ResourceGovernor] = None,
-        codegen: str = "off",
-    ) -> XPathValue:
-        """One governed plan execution, with outcome accounting.
-
-        Every execution increments ``queries_submitted``; exactly one of
-        ``queries_completed`` / ``queries_timed_out`` /
-        ``queries_cancelled`` / ``budget_aborts`` follows, so the four
-        always sum back to ``queries_submitted``.  "Completed" means the
-        run ended without a governance abort — a query raising an
-        ordinary evaluation error still *completed* its resource-governed
-        run.
-        """
-        with self._lock:
-            self._engine_counters["queries_submitted"] += 1
-        start = time.perf_counter()
-        try:
-            result = plan.evaluate(
-                node, variables, namespaces, ordered=ordered,
-                governor=governor, codegen=codegen,
-            )
-            self._note_codegen(plan, codegen)
-        except QueryTimeoutError:
-            with self._lock:
-                self._engine_counters["queries_timed_out"] += 1
-            raise
-        except QueryCancelledError:
-            with self._lock:
-                self._engine_counters["queries_cancelled"] += 1
-            raise
-        except QueryBudgetError:
-            with self._lock:
-                self._engine_counters["budget_aborts"] += 1
-            raise
-        except BaseException:
-            with self._lock:
-                self._engine_counters["queries_completed"] += 1
-            raise
-        with self._lock:
-            self._engine_counters["queries_completed"] += 1
-        self._note_estimation(plan, result)
-        self._record_execution(time.perf_counter() - start, plan, node)
-        return result
-
     def _note_estimation(self, plan: CompiledQuery, result) -> None:
         """Track the cost optimizer's estimation error against reality.
 
@@ -1378,57 +1192,6 @@ class XPathEngine:
             self._engine_counters["cost_estimate_abs_error"] += abs(
                 estimated - len(result)
             )
-
-    def _coalesce_key(
-        self,
-        query: str,
-        node: Node,
-        variables: Optional[Mapping[str, XPathValue]],
-        namespaces: Optional[Mapping[str, str]],
-        options: Optional[TranslationOptions],
-        ordered: bool,
-        timeout: Optional[float] = None,
-        max_tuples: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-        codegen: str = "off",
-    ) -> Optional[Hashable]:
-        """The singleflight key, or None when coalescing is off.
-
-        Calls with variables are never coalesced (variable values may be
-        unhashable node-sets).  The target enters by identity — the
-        leader keeps the node alive for the duration of the flight, so
-        the id cannot be recycled mid-call.  The governance limits are
-        part of the key: two calls with different deadlines or budgets
-        must never share a flight (a tightly-limited leader would fail
-        loosely-limited followers), and a distinct cancel token keys a
-        distinct flight for the same reason.  The effective ``codegen``
-        backend is part of the key too — a forced-compiled call must
-        not share a flight with an interpreted one.
-        """
-        if not self.coalesce or variables:
-            return None
-        return (
-            query,
-            options or self.options,
-            _namespace_signature(namespaces),
-            id(node),
-            ordered,
-            timeout,
-            max_tuples,
-            max_bytes,
-            id(cancel) if cancel is not None else None,
-            codegen,
-        )
-
-    def _record_execution(
-        self, elapsed: float, plan: CompiledQuery, node: Node
-    ) -> None:
-        with self._lock:
-            self._execution_count += 1
-            self._execution_seconds += elapsed
-            self._last_plan = plan
-            self._last_buffer = _buffer_snapshot(node)
 
 
 def _buffer_snapshot(node: Node) -> Optional[BufferSnapshot]:

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro import __version__, open_collection, open_store, parse_document
+from repro.compiler.pipeline import OPTIMIZER_MODES, SWITCH_MODES
 from repro.engine.session import XPathEngine
 from repro.errors import ReproError
 from repro.server.server import ServerConfig, XPathServer
@@ -111,15 +112,15 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default: 60; 0 disables)",
     )
     parser.add_argument(
-        "--index", choices=("auto", "off", "force"), default="auto",
+        "--index", choices=SWITCH_MODES, default="auto",
         help="engine index-routing mode (default: auto)",
     )
     parser.add_argument(
-        "--codegen", choices=("auto", "off", "force"), default="off",
+        "--codegen", choices=SWITCH_MODES, default="off",
         help="engine codegen mode for mode=full requests (default: off)",
     )
     parser.add_argument(
-        "--optimizer", choices=("heuristic", "cost"),
+        "--optimizer", choices=OPTIMIZER_MODES,
         default="heuristic",
         help="engine plan-choice mode (default: heuristic)",
     )

@@ -715,60 +715,40 @@ class XPathServer:
         evaluation, start to finish.
         """
         try:
-            if isinstance(target, Collection):
-                if request.mode == "full":
+            if request.mode == "full":
+                if isinstance(target, Collection):
                     result = self.engine.evaluate_collection(
                         request.query, target, eval_options
                     )
-                    buffer.put_header(result.kind)
-                    merged = result.merged()
-                    for start in range(0, max(len(merged), 1), page_size):
-                        page = merged[start:start + page_size]
-                        buffer.put_page([encode_item(v) for v in page])
+                    kind, items = result.kind, result.merged()
                 else:
+                    items = self.engine.evaluate(
+                        request.query, target, eval_options,
+                        ordered=request.ordered,
+                    )
+                    kind = "node-set"
+                    if not isinstance(items, list):
+                        kind, items = "scalar", [items]
+                buffer.put_header(kind)
+                for start in range(0, max(len(items), 1), page_size):
+                    page = items[start:start + page_size]
+                    buffer.put_page([encode_item(v) for v in page])
+            else:
+                if isinstance(target, Collection):
                     stream = self.engine.evaluate_collection_stream(
                         request.query, target, eval_options,
                         page_size=page_size,
                     )
-                    sent_header = False
-                    for kind, page in stream:
-                        if not sent_header:
-                            buffer.put_header(kind)
-                            sent_header = True
-                        buffer.put_page([encode_item(v) for v in page])
-            elif request.mode == "full":
-                result = self.engine.evaluate(
-                    request.query, target, eval_options,
-                    ordered=request.ordered,
-                )
-                if isinstance(result, list):
-                    buffer.put_header("node-set")
-                    for start in range(
-                        0, max(len(result), 1), page_size
-                    ):
-                        page = result[start:start + page_size]
-                        buffer.put_page(
-                            [encode_item(v) for v in page]
-                        )
                 else:
-                    buffer.put_header("scalar")
-                    buffer.put_page([encode_item(result)])
-            else:
-                plan = self.engine.compile(
-                    request.query,
-                    namespaces=eval_options.namespace_map(),
-                    target=target,
-                )
-                kind = (
-                    "node-set"
-                    if plan.translation.kind == "sequence" else "scalar"
-                )
-                stream = self.engine.evaluate_stream(
-                    request.query, target, eval_options,
-                    page_size=page_size, ordered=request.ordered,
-                )
-                buffer.put_header(kind)
-                for page in stream:
+                    stream = self.engine.evaluate_stream(
+                        request.query, target, eval_options,
+                        page_size=page_size, ordered=request.ordered,
+                    )
+                sent_header = False
+                for kind, page in stream:
+                    if not sent_header:
+                        buffer.put_header(kind)
+                        sent_header = True
                     buffer.put_page([encode_item(v) for v in page])
             buffer.finish(None)
         except _StreamAborted:

@@ -7,6 +7,7 @@ import pytest
 
 from repro import (
     ENGINES,
+    EvalOptions,
     compile_xpath,
     evaluate,
     open_store,
@@ -37,17 +38,19 @@ class TestEvaluateFacade:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_all_engines_accessible(self, engine):
-        assert evaluate("count(//b)", self.DOC, engine=engine) == 2.0
+        options = EvalOptions(engine=engine)
+        assert evaluate("count(//b)", self.DOC, options) == 2.0
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
-            evaluate("//b", self.DOC, engine="sloth")
+            evaluate("//b", self.DOC, EvalOptions(engine="sloth"))
 
     def test_variables_and_namespaces_pass_through(self):
         doc = parse_document('<a xmlns:p="urn:p"><p:b/></a>')
         assert evaluate(
-            "count(//x:b) + $n", doc,
-            variables={"n": 1.0}, namespaces={"x": "urn:p"},
+            "count(//x:b) + $n",
+            doc,
+            EvalOptions(variables={"n": 1.0}, namespaces={"x": "urn:p"}),
         ) == 2.0
 
     def test_store_helpers(self, tmp_path):

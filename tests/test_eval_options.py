@@ -1,10 +1,10 @@
 """The unified :class:`EvalOptions` per-call API.
 
-Pins the PR-6 redesign contract: one frozen value object carries every
-per-call knob, is accepted uniformly by all evaluation entry points, is
-stable enough to serve as a plan-cache/coalescing key, and the legacy
-individual keyword arguments keep working behind a single consolidated
-``DeprecationWarning``.
+Pins the contract: one frozen value object carries every per-call knob,
+is accepted uniformly by all evaluation entry points and is stable
+enough to serve as a plan-cache/coalescing key.  The 1.x individual
+keyword arguments and positional forms are gone; each now raises
+``TypeError``.
 """
 
 import warnings
@@ -14,8 +14,10 @@ import pytest
 from repro import (
     CancelToken,
     EvalOptions,
+    TranslationOptions,
     XPathEngine,
     build_indexes,
+    compile_xpath,
     evaluate,
     evaluate_concurrent,
     open_store,
@@ -168,52 +170,65 @@ class TestCacheAndCoalesceKey:
         assert stats.cache.hits == 1
 
 
-class TestLegacyKeywordAdapter:
-    def test_single_consolidated_warning_names_all_kwargs(self):
-        engine = XPathEngine()
-        with pytest.warns(DeprecationWarning) as record:
-            result = engine.evaluate(
-                "count(//b) = $n",
-                DOC,
-                variables={"n": 2.0},
-                max_tuples=100_000,
-            )
-        assert result is True
-        assert len(record) == 1
-        message = str(record[0].message)
-        assert "max_tuples" in message and "variables" in message
-        assert "EvalOptions" in message
+#: Every 1.x call form removed in 2.0, each as ``run(store_path)``.
+REMOVED_FORMS = {
+    "evaluate-variables-keyword": lambda path: evaluate(
+        "//b", DOC, variables={"n": 1.0}
+    ),
+    "evaluate-engine-keyword": lambda path: evaluate(
+        "//b", DOC, engine="naive"
+    ),
+    "evaluate-positional-variables": lambda path: evaluate(
+        "//b", DOC, {"n": 1.0}
+    ),
+    "evaluate-positional-triple": lambda path: evaluate(
+        "//b", DOC, {"n": 1.0}, {"x": "urn:p"}, "natix"
+    ),
+    "evaluate_concurrent-timeout-keyword": lambda path: (
+        evaluate_concurrent(["//b"], DOC, timeout=1.0)
+    ),
+    "engine.evaluate-namespaces-keyword": lambda path: (
+        XPathEngine().evaluate("//b", DOC, namespaces={"x": "urn:p"})
+    ),
+    "engine.count-max_tuples-keyword": lambda path: (
+        XPathEngine().count("//b", DOC, max_tuples=10)
+    ),
+    "engine.evaluate_many-variables-keyword": lambda path: (
+        XPathEngine().evaluate_many(["//b"], DOC, variables={"n": 1.0})
+    ),
+    "engine.evaluate_concurrent-cancel-keyword": lambda path: (
+        XPathEngine().evaluate_concurrent(["//b"], DOC, cancel=CancelToken())
+    ),
+    "engine.evaluate_collection-max_bytes-keyword": lambda path: (
+        XPathEngine().evaluate_collection("//b", None, max_bytes=10)
+    ),
+    "engine.evaluate_stream-positional-variables": lambda path: (
+        XPathEngine().evaluate_stream("//b", DOC, {"n": 1.0})
+    ),
+    "compile_xpath-positional-options": lambda path: compile_xpath(
+        "//b", TranslationOptions()
+    ),
+    "open_store-positional-buffer_pages": lambda path: open_store(path, 32),
+    "build_indexes-positional-buffer_pages": lambda path: build_indexes(
+        path, 32
+    ),
+}
 
-    def test_one_shot_evaluate_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            assert evaluate("count(//b)", DOC, engine="naive") == 2.0
 
-    def test_mixing_eval_options_and_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="both eval_options"):
-            evaluate(
-                "//b", DOC, EvalOptions(variables={"n": 1.0}),
-                variables={"n": 2.0},
-            )
+class TestRemovedForms:
+    @pytest.mark.parametrize("form", sorted(REMOVED_FORMS))
+    def test_removed_form_raises_type_error(self, form, tmp_path):
+        path = tmp_path / "doc.natix"
+        store_document(DOC, path)
+        with pytest.raises(TypeError):
+            REMOVED_FORMS[form](path)
 
-    def test_eval_options_path_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            XPathEngine().evaluate(
-                "count(//b)", DOC, EvalOptions(max_tuples=100_000)
-            )
-            evaluate("count(//b)", DOC, EvalOptions())
+    def test_bool_index_spelling_rejected(self):
+        with pytest.raises(ValueError, match="index"):
+            XPathEngine(index=True)
 
 
 class TestStoreHelperSignatures:
-    def test_positional_buffer_pages_warns_but_works(self, tmp_path):
-        path = tmp_path / "doc.natix"
-        store_document(DOC, path)
-        with pytest.warns(DeprecationWarning, match="buffer_pages"):
-            with open_store(path, 32) as stored:
-                assert evaluate("count(//b)", stored) == 2.0
-        with pytest.warns(DeprecationWarning, match="buffer_pages"):
-            build_indexes(path, 32)
-
     def test_keyword_buffer_pages_is_clean(self, tmp_path):
         path = tmp_path / "doc.natix"
         store_document(DOC, path)

@@ -9,7 +9,13 @@ import io
 
 import pytest
 
-from repro import compile_xpath, evaluate, parse_document, serialize
+from repro import (
+    EvalOptions,
+    compile_xpath,
+    evaluate,
+    parse_document,
+    serialize,
+)
 from repro.dom.builder import DocumentBuilder
 from repro.errors import (
     CodegenError,
@@ -292,7 +298,8 @@ class TestQueryEdgeCases:
     )
     def test_no_crash(self, query):
         for engine in ("natix", "naive"):
-            evaluate(query, self.DOC, engine=engine)  # must not raise
+            # must not raise
+            evaluate(query, self.DOC, EvalOptions(engine=engine))
 
     def test_enormous_position_value(self):
         # (Exponent literals like 1e6 are not XPath; spell it out.)

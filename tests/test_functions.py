@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import parse_document
+from repro import EvalOptions, parse_document
 from repro.errors import XPathNameError, XPathTypeError
 from repro.xpath import functions as fnlib
 from repro.xpath.context import make_context
@@ -304,7 +304,8 @@ class TestNumberEdgeCasesSection44:
             arguments += f", {length}"
         query = f"substring({arguments})"
         for engine in ("natix", "naive"):
-            assert evaluate(query, doc, engine=engine) == expected, (
+            options = EvalOptions(engine=engine)
+            assert evaluate(query, doc, options) == expected, (
                 query, engine,
             )
 
@@ -334,10 +335,14 @@ class TestNumberEdgeCasesSection44:
         doc = parse_document("<a/>")
         for engine in ("natix", "naive"):
             assert evaluate(
-                "1 div round(-0.5)", doc, engine=engine
+                "1 div round(-0.5)",
+                doc,
+                EvalOptions(engine=engine),
             ) == -INF, engine
             assert evaluate(
-                "1 div round(0.4)", doc, engine=engine
+                "1 div round(0.4)",
+                doc,
+                EvalOptions(engine=engine),
             ) == INF, engine
 
     def test_round_specials_direct(self):
@@ -377,7 +382,7 @@ class TestNumberEdgeCasesSection44:
         document = parse_document(f'<r><w xml:lang="{doclang}"/></r>')
         query = f"count(//w[lang('{wanted}')])"
         for engine in ("natix", "naive"):
-            assert evaluate(query, document, engine=engine) == (
+            assert evaluate(query, document, EvalOptions(engine=engine)) == (
                 1.0 if expected else 0.0
             ), (doclang, wanted, engine)
 

@@ -26,11 +26,14 @@ import pytest
 
 from repro import (
     CancelToken,
+    EvalOptions,
     ResourceGovernor,
     XPathEngine,
     compile_xpath,
+    create_collection,
     evaluate,
     evaluate_concurrent,
+    open_collection,
     parse_document,
 )
 from repro.engine import session as session_module
@@ -161,7 +164,7 @@ class TestEvaluateGovernance:
         requested = 0.25
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError):
-            engine.evaluate(PATHOLOGICAL, HUGE, timeout=requested)
+            engine.evaluate(PATHOLOGICAL, HUGE, EvalOptions(timeout=requested))
         elapsed = time.monotonic() - start
         assert elapsed < 2 * requested
 
@@ -185,20 +188,22 @@ class TestEvaluateGovernance:
             start = time.monotonic()
             with pytest.raises(QueryTimeoutError):
                 engine.evaluate(
-                    PATHOLOGICAL, stored.root, timeout=requested
+                    PATHOLOGICAL,
+                    stored.root,
+                    EvalOptions(timeout=requested),
                 )
             assert time.monotonic() - start < 2 * requested
 
     def test_tuple_budget_aborts(self):
         engine = XPathEngine()
         with pytest.raises(QueryBudgetError) as excinfo:
-            engine.evaluate("//c", BIG, max_tuples=10)
+            engine.evaluate("//c", BIG, EvalOptions(max_tuples=10))
         assert excinfo.value.resource == "tuples"
 
     def test_byte_budget_aborts_result_collection(self):
         engine = XPathEngine()
         with pytest.raises(QueryBudgetError) as excinfo:
-            engine.evaluate("//c", BIG, max_bytes=64)
+            engine.evaluate("//c", BIG, EvalOptions(max_bytes=64))
         assert excinfo.value.resource == "bytes"
 
     def test_byte_budget_aborts_materialization(self):
@@ -208,7 +213,9 @@ class TestEvaluateGovernance:
         engine = XPathEngine()
         with pytest.raises(QueryBudgetError):
             engine.evaluate(
-                "count(//b[position() = last()])", BIG, max_bytes=256
+                "count(//b[position() = last()])",
+                BIG,
+                EvalOptions(max_bytes=256),
             )
 
     def test_cross_thread_cancel_mid_flight(self):
@@ -219,7 +226,7 @@ class TestEvaluateGovernance:
         start = time.monotonic()
         try:
             with pytest.raises(QueryCancelledError):
-                engine.evaluate(PATHOLOGICAL, BIG, cancel=token)
+                engine.evaluate(PATHOLOGICAL, BIG, EvalOptions(cancel=token))
         finally:
             timer.cancel()
         assert time.monotonic() - start < 2.0
@@ -228,18 +235,22 @@ class TestEvaluateGovernance:
         engine = XPathEngine()
         ungoverned = engine.evaluate("count(//c)", SMALL)
         governed = engine.evaluate(
-            "count(//c)", SMALL, timeout=30.0, max_tuples=100_000,
-            max_bytes=100_000_000,
+            "count(//c)",
+            SMALL,
+            EvalOptions(
+                timeout=30.0, max_tuples=100_000, max_bytes=100_000_000
+            ),
         )
         assert governed == ungoverned == 3.0
 
     def test_timeout_does_not_poison_cache_or_singleflight(self):
         engine = XPathEngine()
         with pytest.raises(QueryTimeoutError):
-            engine.evaluate(PATHOLOGICAL, BIG, timeout=0.1)
+            engine.evaluate(PATHOLOGICAL, BIG, EvalOptions(timeout=0.1))
         # Same query text, generous limits, small target: the cached
         # plan must be reusable and the singleflight key released.
-        assert engine.evaluate("count(//c)", BIG, timeout=30.0) == 800.0
+        options = EvalOptions(timeout=30.0)
+        assert engine.evaluate("count(//c)", BIG, options) == 800.0
         assert engine.evaluate("count(//c)", BIG) == 800.0
 
     def test_engine_default_limits_apply(self):
@@ -247,8 +258,11 @@ class TestEvaluateGovernance:
         with pytest.raises(QueryBudgetError):
             engine.evaluate("//c", BIG)
         # Per-call limits win over the default.
-        assert engine.evaluate("count(//b)", SMALL,
-                               max_tuples=1_000_000) == 2.0
+        assert engine.evaluate(
+            "count(//b)",
+            SMALL,
+            EvalOptions(max_tuples=1_000_000),
+        ) == 2.0
 
     def test_env_var_default_timeout(self, monkeypatch):
         monkeypatch.setenv(session_module.TIMEOUT_ENV_VAR, "7.5")
@@ -262,41 +276,45 @@ class TestEvaluateGovernance:
 
     def test_coalesce_key_separates_governance_specs(self):
         engine = XPathEngine()
-        node = SMALL.root
-        base = engine._coalesce_key("//c", node, None, None, None, False)
-        timed = engine._coalesce_key(
-            "//c", node, None, None, None, False, 1.0
-        )
-        other = engine._coalesce_key(
-            "//c", node, None, None, None, False, 2.0
-        )
-        assert len({base, timed, other}) == 3
+        identity = ("//c", id(SMALL.root), False)
+        keys = {
+            engine._resolve(EvalOptions(timeout=timeout), None)
+            .coalesce_key(identity)
+            for timeout in (None, 1.0, 2.0)
+        }
+        assert len(keys) == 3
 
 
 class TestOneShotApiGovernance:
     def test_evaluate_timeout(self):
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError):
-            evaluate(PATHOLOGICAL, BIG, timeout=0.2)
+            evaluate(PATHOLOGICAL, BIG, EvalOptions(timeout=0.2))
         assert time.monotonic() - start < 0.4
 
     def test_evaluate_budget(self):
         with pytest.raises(QueryBudgetError):
-            evaluate("//c", BIG, max_tuples=5)
+            evaluate("//c", BIG, EvalOptions(max_tuples=5))
 
     def test_interpreters_reject_governance(self):
         with pytest.raises(ValueError):
-            evaluate("//c", SMALL, engine="naive", timeout=1.0)
+            evaluate("//c", SMALL, EvalOptions(engine="naive", timeout=1.0))
         with pytest.raises(ValueError):
-            evaluate("//c", SMALL, engine="memo", max_tuples=5)
+            evaluate("//c", SMALL, EvalOptions(engine="memo", max_tuples=5))
 
     def test_canonical_engine_governed(self):
         with pytest.raises(QueryBudgetError):
-            evaluate("//c", BIG, engine="natix-canonical", max_tuples=5)
+            evaluate(
+                "//c",
+                BIG,
+                EvalOptions(engine="natix-canonical", max_tuples=5),
+            )
 
     def test_evaluate_concurrent_passthrough(self):
         results = evaluate_concurrent(
-            ["count(//c)", "count(//b)"], SMALL, timeout=30.0
+            ["count(//c)", "count(//b)"],
+            SMALL,
+            EvalOptions(timeout=30.0),
         )
         assert results == [3.0, 2.0]
 
@@ -315,7 +333,10 @@ class TestConcurrentGovernance:
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError):
             engine.evaluate_concurrent(
-                [PATHOLOGICAL], HUGE, timeout=requested, max_workers=2
+                [PATHOLOGICAL],
+                HUGE,
+                EvalOptions(timeout=requested),
+                max_workers=2,
             )
         assert time.monotonic() - start < 2 * requested
         # The pool was shut down cleanly and the engine still serves:
@@ -329,9 +350,9 @@ class TestConcurrentGovernance:
         results = engine.evaluate_concurrent(
             [PATHOLOGICAL, "count(//c)", "count(//b)"],
             BIG,
+            EvalOptions(max_tuples=10_000),
             max_workers=3,
             return_exceptions=True,
-            max_tuples=10_000,
         )
         # The pathological query blows its tuple budget; its siblings
         # run under the same per-query budget and fit comfortably.
@@ -356,7 +377,9 @@ class TestConcurrentGovernance:
         token = CancelToken()
         token.cancel("drain")
         results = engine.evaluate_concurrent(
-            ["count(//c)", "count(//b)"], BIG, cancel=token,
+            ["count(//c)", "count(//b)"],
+            BIG,
+            EvalOptions(cancel=token),
             return_exceptions=True,
         )
         assert all(isinstance(r, QueryCancelledError) for r in results)
@@ -384,11 +407,19 @@ class TestConcurrentGovernance:
         outcomes = {
             "completed": lambda: engine.evaluate("count(//c)", SMALL),
             "timed_out": lambda: engine.evaluate(
-                PATHOLOGICAL, BIG, timeout=0.05
+                PATHOLOGICAL,
+                BIG,
+                EvalOptions(timeout=0.05),
             ),
-            "budget": lambda: engine.evaluate("//c", BIG, max_tuples=3),
+            "budget": lambda: engine.evaluate(
+                "//c",
+                BIG,
+                EvalOptions(max_tuples=3),
+            ),
             "cancelled": lambda: engine.evaluate(
-                "count(//c)", SMALL, cancel=token
+                "count(//c)",
+                SMALL,
+                EvalOptions(cancel=token),
             ),
             # A plain evaluation error still "completes" its governed
             # run — it consumed resources and finished on its own.
@@ -427,7 +458,7 @@ class TestBatchGovernance:
             engine.evaluate_many(
                 ["count(//b)", "count(//b)", "count(//b)"],
                 BIG,
-                max_tuples=1000,
+                EvalOptions(max_tuples=1000),
             )
 
     def test_ungoverned_batch_unaffected(self):
@@ -435,3 +466,83 @@ class TestBatchGovernance:
         assert engine.evaluate_many(
             ["count(//c)", "count(//b)"], SMALL
         ) == [3.0, 2.0]
+
+
+# ----------------------------------------------------------------------
+# Counter identity across all seven entry points
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def collection(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("governed") / "collection"
+    create_collection(BIG, directory, shards=2)
+    with open_collection(directory, workers=1) as opened:
+        yield opened
+
+
+def _cancelled_token() -> CancelToken:
+    token = CancelToken()
+    token.cancel("identity test")
+    return token
+
+
+#: Each entry point as ``run(engine, document, collection, options)``,
+#: driven to completion (streams are consumed).
+ENTRY_POINTS = {
+    "evaluate": lambda e, d, c, o: e.evaluate("//c", d, o),
+    "count": lambda e, d, c, o: e.count("//c", d, o),
+    "evaluate_many": lambda e, d, c, o: e.evaluate_many(
+        ["//c", "count(//b)"], d, o
+    ),
+    "evaluate_concurrent": lambda e, d, c, o: e.evaluate_concurrent(
+        ["//c", "count(//b)"], d, o, max_workers=2
+    ),
+    "evaluate_stream": lambda e, d, c, o: list(
+        e.evaluate_stream("//c", d, o, page_size=64)
+    ),
+    "evaluate_collection": lambda e, d, c, o: e.evaluate_collection(
+        "//c", c, o
+    ),
+    "evaluate_collection_stream": lambda e, d, c, o: list(
+        e.evaluate_collection_stream("//c", c, o, page_size=64)
+    ),
+}
+
+#: (options factory, expected error, the outcome counter it settles).
+OUTCOMES = (
+    (EvalOptions, None, "queries_completed"),
+    (lambda: EvalOptions(max_tuples=3), QueryBudgetError, "budget_aborts"),
+    (lambda: EvalOptions(timeout=1e-9), QueryTimeoutError,
+     "queries_timed_out"),
+    (lambda: EvalOptions(cancel=_cancelled_token()), QueryCancelledError,
+     "queries_cancelled"),
+)
+
+
+class TestCounterIdentity:
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_every_outcome_is_accounted(self, entry_point, collection):
+        """A completed call, a budget abort, a timeout and a cancel
+        through one entry point: every run submits, every submission
+        settles exactly one outcome, and every submission is one
+        recorded execution."""
+        run = ENTRY_POINTS[entry_point]
+        engine = XPathEngine(coalesce=False)
+        for make_options, error, counter in OUTCOMES:
+            before = engine.stats().runtime_counters[counter]
+            if error is None:
+                run(engine, BIG, collection, make_options())
+            else:
+                with pytest.raises(error):
+                    run(engine, BIG, collection, make_options())
+            stats = engine.stats()
+            counters = stats.runtime_counters
+            assert counters[counter] > before, counter
+            assert counters["queries_submitted"] == (
+                counters["queries_completed"]
+                + counters["queries_timed_out"]
+                + counters["queries_cancelled"]
+                + counters["budget_aborts"]
+            )
+            assert stats.execution_count == counters["queries_submitted"]

@@ -92,9 +92,11 @@ class _SlowEngine(XPathEngine):
 class TestEvaluateStream:
     def test_pages_partition_the_result(self, document):
         engine = XPathEngine()
-        pages = list(
+        pairs = list(
             engine.evaluate_stream("//item", document, page_size=7)
         )
+        assert {kind for kind, _ in pairs} == {"node-set"}
+        pages = [page for _, page in pairs]
         assert [len(page) for page in pages] == [7, 7, 7, 7, 2]
         flat = [node for page in pages for node in page]
         assert canonical_value(flat) == canonical_value(
@@ -104,7 +106,7 @@ class TestEvaluateStream:
     def test_default_page_size(self, document):
         engine = XPathEngine()
         pages = list(engine.evaluate_stream("//item", document))
-        assert len(pages) == 1 and len(pages[0]) == NUM_ITEMS
+        assert len(pages) == 1 and len(pages[0][1]) == NUM_ITEMS
         assert DEFAULT_PAGE_SIZE >= NUM_ITEMS
 
     def test_empty_result_yields_one_empty_page(self, document):
@@ -112,20 +114,20 @@ class TestEvaluateStream:
         pages = list(
             engine.evaluate_stream("//nothing", document, page_size=4)
         )
-        assert pages == [[]]
+        assert pages == [("node-set", [])]
 
     def test_scalar_streams_as_single_item_page(self, document):
         engine = XPathEngine()
         pages = list(
             engine.evaluate_stream("count(//item)", document)
         )
-        assert pages == [[float(NUM_ITEMS)]]
+        assert pages == [("scalar", [float(NUM_ITEMS)])]
 
     def test_ordered_stream_is_document_ordered(self, document):
         engine = XPathEngine()
         items = [
             node
-            for page in engine.evaluate_stream(
+            for _, page in engine.evaluate_stream(
                 "//price/ancestor::item", document, page_size=5,
                 ordered=True,
             )

@@ -7,6 +7,7 @@ import pytest
 
 from repro import (
     ENGINES,
+    EvalOptions,
     TranslationOptions,
     XPathEngine,
     compile_xpath,
@@ -19,7 +20,7 @@ from repro import (
 )
 from repro.api import engine_names, get_engine_factory
 from repro.engine.cache import StripedPlanCache
-from repro.engine.session import PlanCache, resolve_context_node
+from repro.engine.session import resolve_context_node
 
 DOC = parse_document(
     "<xdoc>"
@@ -51,10 +52,14 @@ class TestPlanCache:
         doc = parse_document('<a xmlns:p="urn:p"><p:b/></a>')
         engine = XPathEngine()
         one = engine.evaluate(
-            "count(//x:b)", doc, namespaces={"x": "urn:p"}
+            "count(//x:b)",
+            doc,
+            EvalOptions(namespaces={"x": "urn:p"}),
         )
         two = engine.evaluate(
-            "count(//x:b)", doc, namespaces={"x": "urn:other"}
+            "count(//x:b)",
+            doc,
+            EvalOptions(namespaces={"x": "urn:other"}),
         )
         assert (one, two) == (1.0, 0.0)
         assert engine.stats().cache.misses == 2
@@ -104,9 +109,9 @@ class TestPlanCache:
 
     def test_cache_capacity_validation(self):
         with pytest.raises(ValueError):
-            PlanCache(0)
+            StripedPlanCache(0)
         with pytest.raises(ValueError):
-            PlanCache(8, shards=0)
+            StripedPlanCache(8, shards=0)
 
     def test_clear_cache(self):
         engine = XPathEngine()
@@ -199,7 +204,9 @@ class TestEvaluateMany:
     def test_batch_variables(self):
         engine = XPathEngine()
         results = engine.evaluate_many(
-            ["$n + 1", "$n * 2"], DOC, variables={"n": 10.0}
+            ["$n + 1", "$n * 2"],
+            DOC,
+            EvalOptions(variables={"n": 10.0}),
         )
         assert results == [11.0, 20.0]
 
@@ -282,7 +289,8 @@ class TestEngineRegistry:
         register_engine("always-42", factory)
         try:
             assert "always-42" in engine_names()
-            assert evaluate("//whatever", DOC, engine="always-42") == 42.0
+            options = EvalOptions(engine="always-42")
+            assert evaluate("//whatever", DOC, options) == 42.0
             assert calls == ["//whatever"]
         finally:
             unregister_engine("always-42")
@@ -297,7 +305,7 @@ class TestEngineRegistry:
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="sloth"):
-            evaluate("//b", DOC, engine="sloth")
+            evaluate("//b", DOC, EvalOptions(engine="sloth"))
 
 
 class TestKeywordOnlyAPI:
@@ -316,12 +324,12 @@ class TestKeywordOnlyAPI:
 
     def test_positional_options_now_rejected(self):
         # Deprecated (with a warning) in v1.1; a TypeError since v1.3.
-        with pytest.raises(TypeError, match="no longer supported"):
+        with pytest.raises(TypeError, match="positional argument"):
             compile_xpath("//b", TranslationOptions.canonical())
 
     def test_positional_evaluate_args_now_rejected(self):
         doc = parse_document('<a xmlns:p="urn:p"><p:b/></a>')
-        with pytest.raises(TypeError, match="no longer supported"):
+        with pytest.raises(TypeError, match="positional argument"):
             evaluate(
                 "count(//x:b) + $n", doc, {"n": 1.0}, {"x": "urn:p"},
                 "natix",

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro import evaluate, parse_document, serialize
+from repro import EvalOptions, evaluate, parse_document, serialize
 from repro.dom.node import NodeKind
 from repro.errors import StorageError
 from repro.storage import DocumentStore, PAGE_SIZE
@@ -211,8 +211,8 @@ class TestQueriesOverStorage:
         path = tmp_path / "doc.natix"
         DocumentStore.write(doc, path)
         with DocumentStore.open(path, buffer_pages=2) as sdoc:
-            mem = evaluate(query, doc.root, engine=engine)
-            disk = evaluate(query, sdoc.root, engine=engine)
+            mem = evaluate(query, doc.root, EvalOptions(engine=engine))
+            disk = evaluate(query, sdoc.root, EvalOptions(engine=engine))
             if isinstance(mem, list):
                 assert sorted(n.sort_key for n in mem) == sorted(
                     n.sort_key for n in disk
